@@ -1185,15 +1185,25 @@ fn t14() {
     heading("T14 — crash-point torture matrix, recovery scaling, journal overhead");
 
     // 1. The headline matrix: every durability barrier of the scripted
-    // workload × every crash mode × CRASH_SEEDS seeds, without and with
-    // mid-workload checkpoints. Zero violations is the robustness claim.
+    // workload (journal syncs, seal syncs, snapshot saves, compactions)
+    // × every crash mode × CRASH_SEEDS seeds, without and with automatic
+    // mid-workload checkpoints; every cell also runs a seeded two-cycle
+    // case (crash, recover, mutate, checkpoint, crash, recover). Zero
+    // violations is the robustness claim.
     let seed_count: u64 =
         std::env::var("CRASH_SEEDS").ok().and_then(|raw| raw.parse().ok()).unwrap_or(25);
     let seeds: Vec<u64> = (1..=seed_count).collect();
     let world = CrashWorld::new();
     println!(
-        "{:<16} {:>11} {:>8} {:>9} {:>12} {:>11}",
-        "matrix", "boundaries", "cases", "crashes", "acked-total", "violations"
+        "{:<16} {:>11} {:>8} {:>9} {:>10} {:>10} {:>12} {:>11}",
+        "matrix",
+        "boundaries",
+        "cases",
+        "crashes",
+        "2-cycle",
+        "2-crashes",
+        "acked-total",
+        "violations"
     );
     let mut matrix_rows = Vec::new();
     let mut total_violations = 0usize;
@@ -1202,10 +1212,12 @@ fn t14() {
         let report = run_matrix(&world, &seeds, snapshot_every);
         let wall = start.elapsed();
         println!(
-            "{label:<16} {:>11} {:>8} {:>9} {:>12} {:>11}   ({wall:.2?})",
+            "{label:<16} {:>11} {:>8} {:>9} {:>10} {:>10} {:>12} {:>11}   ({wall:.2?})",
             report.boundaries,
             report.cases,
             report.crashes,
+            report.two_cycle_cases,
+            report.two_cycle_crashes,
             report.acked_total,
             report.violations.len()
         );
@@ -1215,11 +1227,14 @@ fn t14() {
         total_violations += report.violations.len();
         matrix_rows.push(format!(
             "    {{\"label\": \"{label}\", \"snapshot_every\": {snapshot_every}, \
-             \"boundaries\": {}, \"cases\": {}, \"crashes\": {}, \"acked_total\": {}, \
-             \"violations\": {}, \"wall_micros\": {}}}",
+             \"boundaries\": {}, \"cases\": {}, \"crashes\": {}, \"two_cycle_cases\": {}, \
+             \"two_cycle_crashes\": {}, \"acked_total\": {}, \"violations\": {}, \
+             \"wall_micros\": {}}}",
             report.boundaries,
             report.cases,
             report.crashes,
+            report.two_cycle_cases,
+            report.two_cycle_crashes,
             report.acked_total,
             report.violations.len(),
             wall.as_micros()

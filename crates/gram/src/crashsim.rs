@@ -1,8 +1,12 @@
 //! Whole-server crash-point torture: a scripted workload against a
-//! durable [`GramServer`] whose journal lives on a seeded
-//! [`FaultDisk`], killed at every durability barrier in turn, recovered,
-//! and checked against an oracle of exactly which operations were
-//! acknowledged before the lights went out.
+//! durable [`GramServer`] whose journal, snapshot and sealed segment all
+//! live on one seeded [`FaultDisk`], killed at every durability barrier
+//! in turn (journal syncs, seal syncs, snapshot saves, compactions),
+//! recovered, and checked against an oracle of exactly which operations
+//! were acknowledged before the lights went out. A second axis runs two
+//! cycles: crash → recover → mutate → checkpoint → crash → recover, the
+//! shape in which a restarted journal must keep numbering above the
+//! snapshot it reopened after.
 //!
 //! The four recovery invariants, checked after every crash point:
 //!
@@ -28,8 +32,9 @@
 //! leak the account nor double-grant it.
 //!
 //! Determinism: the workload is fixed; the only randomness is the torn
-//! cut position inside the in-flight batch, driven by the case seed.
-//! Every case is therefore replayable from `(boundary, mode, seed)`.
+//! cut position inside the in-flight batch, driven by the case seed (and,
+//! on the two-cycle axis, the seeded choice of the second crash). Every
+//! case is therefore replayable from its `(boundary, mode, seed)` pairs.
 
 use std::time::Instant;
 
@@ -39,7 +44,7 @@ use gridauthz_credential::{
     TrustStore,
 };
 use gridauthz_enforcement::DynamicAccountPool;
-use gridauthz_journal::{CrashMode, FaultDisk, FaultPlan, MemSnapshotStore};
+use gridauthz_journal::{CrashMode, CrashRng, FaultDisk, FaultPlan, MemSnapshotStore};
 use gridauthz_scheduler::JobState;
 
 use crate::journal::DurabilityConfig;
@@ -49,6 +54,30 @@ use crate::server::{GramServer, GramServerBuilder};
 /// The scripted job request (one CPU so every cluster in the fixture
 /// admits it immediately and deterministically).
 const JOB_RSL: &str = "&(executable = transp)(directory = /sandbox/run)(count = 1)";
+
+/// The simulated machine's files: all three crash together.
+const WAL_FILE: usize = 0;
+const SEALED_FILE: usize = 1;
+const SNAPSHOT_FILE: usize = 2;
+
+/// Durability over `disk`: the journal, the sealed segment and the
+/// snapshot are files of the same machine, so a crash can land on any
+/// of their barriers.
+fn durable_on(disk: &FaultDisk, snapshot_every: u64) -> DurabilityConfig {
+    DurabilityConfig {
+        storage: Box::new(disk.file(WAL_FILE)),
+        snapshots: Box::new(MemSnapshotStore::over(
+            disk.file(SNAPSHOT_FILE),
+            disk.file(SEALED_FILE),
+        )),
+        snapshot_every,
+    }
+}
+
+/// Bytes the platter kept across the machine's files.
+fn platter_bytes(disk: &FaultDisk) -> u64 {
+    [WAL_FILE, SEALED_FILE, SNAPSHOT_FILE].iter().map(|&f| disk.durable_file(f).len() as u64).sum()
+}
 
 /// The fixed cast and deployment configuration a torture run is built
 /// from. Credentials are issued once and shared by every case in a
@@ -136,7 +165,9 @@ impl CrashWorld {
     /// The script covers every journaled mutation class: static and
     /// dynamic-lease submits, a signal, cancels, a grid-map update and a
     /// credential revocation — so the crash-point sweep exercises every
-    /// commit barrier the server has.
+    /// commit barrier the server has. Two operator checkpoints each seal
+    /// a freshly cancelled job, so seal, snapshot-save and compaction
+    /// barriers are swept too, whatever the automatic cadence.
     fn run_workload(&self, server: &GramServer, oracle: &mut Oracle) {
         let work = SimDuration::from_mins(30);
         // 1. Alice submits J1 under her grid-mapfile account.
@@ -165,6 +196,10 @@ impl CrashWorld {
         }) {
             return;
         }
+        // Operator checkpoint: seals J2.
+        if !oracle.checkpoint(server.checkpoint()) {
+            return;
+        }
         // 6. The administrator maps Carol.
         if !oracle.step(server.set_gridmap(self.updated_gridmap()), |o| {
             o.gridmap_updated = true;
@@ -187,7 +222,32 @@ impl CrashWorld {
         }) {
             return;
         }
+        // Operator checkpoint: seals J1 behind J2.
+        if !oracle.checkpoint(server.checkpoint()) {
+            return;
+        }
         // 10. Alice submits J5, the final acknowledged job.
+        oracle.submit(server.submit(self.alice.chain(), JOB_RSL, None, work), false);
+    }
+
+    /// The second cycle's script, run on a recovered server: a submit, a
+    /// cancel, a checkpoint that seals the cancelled job (and compacts
+    /// the journal it reopened), then a submit the next recovery must
+    /// still find.
+    fn run_continuation(&self, server: &GramServer, oracle: &mut Oracle) {
+        let work = SimDuration::from_mins(30);
+        let Some(j6) = oracle.submit(server.submit(self.alice.chain(), JOB_RSL, None, work), false)
+        else {
+            return;
+        };
+        if !oracle.step(server.cancel(self.alice.chain(), &j6), |o| {
+            o.job_mut(&j6).cancelled = true;
+        }) {
+            return;
+        }
+        if !oracle.checkpoint(server.checkpoint()) {
+            return;
+        }
         oracle.submit(server.submit(self.alice.chain(), JOB_RSL, None, work), false);
     }
 
@@ -332,6 +392,18 @@ impl Oracle {
         }
     }
 
+    /// Records an operator checkpoint (not an acknowledged mutation);
+    /// `false` stops the workload.
+    fn checkpoint(&mut self, result: Result<(), GramError>) -> bool {
+        match result {
+            Ok(()) => true,
+            Err(e) => {
+                assert_durability_failure(&e);
+                false
+            }
+        }
+    }
+
     /// Records a non-submit step; `false` stops the workload.
     fn step(&mut self, result: Result<(), GramError>, on_ack: impl FnOnce(&mut Oracle)) -> bool {
         match result {
@@ -391,55 +463,66 @@ pub struct CaseOutcome {
     pub violations: Vec<String>,
 }
 
+impl CrashCase {
+    fn plan(self) -> FaultPlan {
+        FaultPlan { crash_after_syncs: self.boundary, mode: self.mode, seed: self.seed }
+    }
+}
+
 /// Runs one crash-recover cycle: workload against a disk scripted to die
 /// at `case.boundary`, then recovery from exactly the bytes the platter
 /// kept, then the invariant checks.
 pub fn run_case(world: &CrashWorld, case: CrashCase, snapshot_every: u64) -> CaseOutcome {
-    let disk = FaultDisk::new(Some(FaultPlan {
-        crash_after_syncs: case.boundary,
-        mode: case.mode,
-        seed: case.seed,
-    }));
-    // The snapshot store is non-volatile and atomic (rename-style), so
-    // it survives the crash alongside the platter.
-    let snapshots = MemSnapshotStore::new();
-    let config = DurabilityConfig {
-        storage: Box::new(disk.storage()),
-        snapshots: Box::new(snapshots.clone()),
-        snapshot_every,
-    };
-    let server = world.builder().recover(config).expect("fresh durable server");
+    run_cycles(world, case, None, snapshot_every)
+}
+
+/// The workload dies at `first`. With a `second` case, the recovered
+/// server then runs the continuation script (submit, cancel, checkpoint,
+/// submit) on a disk scripted to die at `second`. The final recovery is
+/// checked against everything either cycle acknowledged; `crashed`
+/// reports whether every planned crash fired.
+fn run_cycles(
+    world: &CrashWorld,
+    first: CrashCase,
+    second: Option<CrashCase>,
+    snapshot_every: u64,
+) -> CaseOutcome {
+    let mut disk = FaultDisk::new(Some(first.plan()));
+    let server =
+        world.builder().recover(durable_on(&disk, snapshot_every)).expect("fresh durable server");
     let mut oracle = Oracle::default();
     world.run_workload(&server, &mut oracle);
     drop(server);
+    let mut crashed = disk.crashed();
+    let mut violations = Vec::new();
 
-    let survivor = FaultDisk::from_bytes(disk.durable_bytes());
-    let journal_bytes = disk.durable_bytes().len() as u64;
-    let config = DurabilityConfig {
-        storage: Box::new(survivor.storage()),
-        snapshots: Box::new(snapshots.clone()),
-        snapshot_every,
-    };
-    let start = Instant::now();
-    let recovered = match world.builder().recover(config) {
-        Ok(server) => server,
-        Err(e) => {
-            return CaseOutcome {
-                crashed: disk.crashed(),
-                acked: oracle.acked,
-                journal_bytes,
-                recovery_nanos: u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                violations: vec![format!("recovery failed: {e}")],
-            }
+    if let Some(second) = second {
+        let middle = disk.survivor(Some(second.plan()));
+        match world.builder().recover(durable_on(&middle, snapshot_every)) {
+            Ok(server) => world.run_continuation(&server, &mut oracle),
+            Err(e) => violations.push(format!("first recovery failed: {e}")),
         }
-    };
+        crashed &= middle.crashed();
+        disk = middle;
+    }
+
+    let survivor = disk.survivor(None);
+    let start = Instant::now();
+    let recovered = world.builder().recover(durable_on(&survivor, snapshot_every));
     let recovery_nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    match recovered {
+        Ok(server) if violations.is_empty() => {
+            violations = world.check_invariants(&server, &oracle);
+        }
+        Ok(_) => {}
+        Err(e) => violations.push(format!("recovery failed: {e}")),
+    }
     CaseOutcome {
-        crashed: disk.crashed(),
+        crashed,
         acked: oracle.acked,
-        journal_bytes,
+        journal_bytes: platter_bytes(&disk),
         recovery_nanos,
-        violations: world.check_invariants(&recovered, &oracle),
+        violations,
     }
 }
 
@@ -447,17 +530,29 @@ pub fn run_case(world: &CrashWorld, case: CrashCase, snapshot_every: u64) -> Cas
 /// range), measured by running it once on a disk that never fails.
 pub fn baseline_syncs(world: &CrashWorld, snapshot_every: u64) -> u64 {
     let disk = FaultDisk::new(None);
-    let snapshots = MemSnapshotStore::new();
-    let config = DurabilityConfig {
-        storage: Box::new(disk.storage()),
-        snapshots: Box::new(snapshots.clone()),
-        snapshot_every,
-    };
-    let server = world.builder().recover(config).expect("baseline server");
+    let server =
+        world.builder().recover(durable_on(&disk, snapshot_every)).expect("baseline server");
     let mut oracle = Oracle::default();
     world.run_workload(&server, &mut oracle);
     assert!(!disk.crashed(), "baseline disk has no fault plan");
     disk.syncs()
+}
+
+/// Durability barriers the continuation script crosses after an
+/// uncrashed workload — the range the two-cycle axis draws its second
+/// crash from.
+fn continuation_syncs(world: &CrashWorld, snapshot_every: u64) -> u64 {
+    let disk = FaultDisk::new(None);
+    let server =
+        world.builder().recover(durable_on(&disk, snapshot_every)).expect("baseline server");
+    let mut oracle = Oracle::default();
+    world.run_workload(&server, &mut oracle);
+    drop(server);
+    let restarted = disk.survivor(None);
+    let server =
+        world.builder().recover(durable_on(&restarted, snapshot_every)).expect("restarted server");
+    world.run_continuation(&server, &mut oracle);
+    restarted.syncs()
 }
 
 /// A full matrix sweep's tally.
@@ -471,20 +566,28 @@ pub struct MatrixReport {
     pub crashes: u64,
     /// Mutations acknowledged across all cases.
     pub acked_total: u64,
+    /// Two-cycle cases run (one per single-cycle case).
+    pub two_cycle_cases: u64,
+    /// Two-cycle cases where both planned crashes fired.
+    pub two_cycle_crashes: u64,
     /// Every violation, labeled with its case coordinates.
     pub violations: Vec<String>,
 }
 
 /// Sweeps every durability barrier × every [`CrashMode`] × every seed:
-/// the deterministic crash-point torture matrix. An empty
-/// `violations` is the headline robustness claim.
+/// the deterministic crash-point torture matrix. Each cell also runs a
+/// two-cycle case whose second crash (barrier and mode) is drawn from
+/// the cell's seed. An empty `violations` is the headline robustness
+/// claim.
 pub fn run_matrix(world: &CrashWorld, seeds: &[u64], snapshot_every: u64) -> MatrixReport {
     let boundaries = baseline_syncs(world, snapshot_every);
+    let second_range = continuation_syncs(world, snapshot_every);
     let mut report = MatrixReport { boundaries, ..MatrixReport::default() };
     for &seed in seeds {
         for boundary in 0..boundaries {
             for mode in CrashMode::ALL {
-                let outcome = run_case(world, CrashCase { boundary, mode, seed }, snapshot_every);
+                let case = CrashCase { boundary, mode, seed };
+                let outcome = run_case(world, case, snapshot_every);
                 report.cases += 1;
                 if outcome.crashed {
                     report.crashes += 1;
@@ -492,6 +595,27 @@ pub fn run_matrix(world: &CrashWorld, seeds: &[u64], snapshot_every: u64) -> Mat
                 report.acked_total += outcome.acked as u64;
                 report.violations.extend(outcome.violations.into_iter().map(|v| {
                     format!("seed {seed} boundary {boundary} mode {}: {v}", mode.as_str())
+                }));
+
+                let mut rng = CrashRng::new(seed).substream(boundary * 3 + mode as u64);
+                let second = CrashCase {
+                    boundary: rng.below(second_range.max(1)),
+                    mode: CrashMode::ALL[rng.below(3) as usize],
+                    seed: rng.next_u64(),
+                };
+                let outcome = run_cycles(world, case, Some(second), snapshot_every);
+                report.two_cycle_cases += 1;
+                if outcome.crashed {
+                    report.two_cycle_crashes += 1;
+                }
+                report.acked_total += outcome.acked as u64;
+                report.violations.extend(outcome.violations.into_iter().map(|v| {
+                    format!(
+                        "seed {seed} boundary {boundary} mode {} then boundary {} mode {}: {v}",
+                        mode.as_str(),
+                        second.boundary,
+                        second.mode.as_str()
+                    )
                 }));
             }
         }
@@ -501,7 +625,10 @@ pub fn run_matrix(world: &CrashWorld, seeds: &[u64], snapshot_every: u64) -> Mat
 
 #[cfg(test)]
 mod tests {
+    use gridauthz_journal::SnapshotStore;
+
     use super::*;
+    use crate::journal::{decode_records, JournalRecord};
 
     #[test]
     fn workload_completes_without_faults() {
@@ -544,6 +671,58 @@ mod tests {
                     "boundary {boundary} mode {}",
                     mode.as_str()
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn script_seals_jobs_across_two_checkpoints() {
+        let world = CrashWorld::new();
+        let disk = FaultDisk::new(None);
+        let server = world.builder().recover(durable_on(&disk, 0)).expect("durable server");
+        let mut oracle = Oracle::default();
+        world.run_workload(&server, &mut oracle);
+        drop(server);
+        let sealed = MemSnapshotStore::over(disk.file(SNAPSHOT_FILE), disk.file(SEALED_FILE))
+            .load_sealed()
+            .unwrap();
+        let contacts: Vec<String> = sealed
+            .iter()
+            .map(|payload| match &decode_records(payload).unwrap()[0] {
+                JournalRecord::Submit { contact, .. } => contact.clone(),
+                other => panic!("sealed payload starts with {other:?}"),
+            })
+            .collect();
+        // J2 (cancelled first) then J1: one job per checkpoint, in the
+        // order they were sealed, not in job-index order.
+        assert_eq!(contacts, vec![oracle.jobs[1].contact.clone(), oracle.jobs[0].contact.clone()]);
+    }
+
+    #[test]
+    fn two_cycle_cases_hold_invariants() {
+        let world = CrashWorld::new();
+        let first_range = baseline_syncs(&world, 0);
+        let second_range = continuation_syncs(&world, 0);
+        assert!(second_range >= 4, "continuation crossed only {second_range} barriers");
+        // The last barriers of the first cycle sit after the second
+        // checkpoint's compaction, so the restarted journal is empty and
+        // must number above the snapshot it reopened after.
+        for first in [first_range - 1, first_range / 2] {
+            for second in 0..=second_range {
+                for mode in CrashMode::ALL {
+                    let outcome = run_cycles(
+                        &world,
+                        CrashCase { boundary: first, mode, seed: 11 },
+                        Some(CrashCase { boundary: second, mode, seed: 12 }),
+                        0,
+                    );
+                    assert_eq!(
+                        outcome.violations,
+                        Vec::<String>::new(),
+                        "first {first} second {second} mode {}",
+                        mode.as_str()
+                    );
+                }
             }
         }
     }

@@ -20,10 +20,12 @@
 //! | `Audit`               | one audit record (best-effort, non-fatal)    |
 //!
 //! The snapshot payload is simply a length-prefixed sequence of these
-//! same records re-expressing the server's current state (a *logical*
-//! snapshot), so recovery has exactly one apply path: replay the
-//! snapshot's records, then the journal tail past the snapshot's
-//! covering sequence number.
+//! same records re-expressing the server's live state (a *logical*
+//! snapshot). Jobs that reached a terminal state are not in it: each is
+//! sealed once, as its own `Submit` + `Cancel` sequence, into the
+//! snapshot store's append-only sealed segment. Recovery has exactly one
+//! apply path: replay the sealed segment, then the snapshot's records,
+//! then the journal tail past the snapshot's covering sequence number.
 
 use std::io;
 use std::path::Path;
@@ -419,7 +421,8 @@ impl std::fmt::Debug for DurabilityConfig {
 
 impl DurabilityConfig {
     /// File-backed durability under `dir` (created when absent):
-    /// `journal.wal` plus `state.snapshot`.
+    /// `journal.wal`, `state.snapshot` and, from the first sealed job
+    /// on, `state.sealed` — all flat in `dir`.
     ///
     /// # Errors
     ///

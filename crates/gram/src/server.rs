@@ -2,7 +2,7 @@
 //! over the local job control system.
 
 use std::borrow::Cow;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -258,6 +258,13 @@ impl GramServerBuilder {
     /// (empty) journal yields a fresh durable server, so this is also
     /// how a durable server starts the first time.
     ///
+    /// Replay order is sealed segment, then snapshot, then journal tail:
+    /// sealed jobs are terminal for good, so any later record naming
+    /// one (an older snapshot's copy, a tail `Cancel` or `Signal`) is a
+    /// no-op. The journal reopens numbered above the snapshot's covering
+    /// sequence, so post-restart appends are never mistaken for covered
+    /// ones.
+    ///
     /// Recovery restores the *control-plane* record of every
     /// acknowledged mutation, not temporal position: recovered jobs are
     /// re-admitted from zero executed work (restart semantics), and
@@ -276,10 +283,34 @@ impl GramServerBuilder {
         let DurabilityConfig { storage, mut snapshots, snapshot_every } = durability;
         let mut server = self.build();
         let start = Instant::now();
+        let sealed = snapshots
+            .load_sealed()
+            .map_err(|e| durability_error(format!("sealed segment load failed: {e}")))?;
         let snapshot =
             snapshots.load().map_err(|e| durability_error(format!("snapshot load failed: {e}")))?;
-        let (journal, tail) = Journal::open(storage)
+        let covers = snapshot.as_ref().map_or(0, |blob| blob.covers_seq);
+        let (journal, tail) = Journal::open_after(storage, covers)
             .map_err(|e| durability_error(format!("journal open failed: {e}")))?;
+        for payload in &sealed {
+            let records = decode_records(payload)
+                .map_err(|e| durability_error(format!("sealed record corrupt: {e}")))?;
+            for record in &records {
+                server.apply_recovered(record)?;
+                server.telemetry.record(Stage::Recovery, labels::REPLAY);
+            }
+        }
+        // Installed after the sealed replay: from here on, replayed and
+        // new submits register as unsealed.
+        let stats = journal.stats();
+        server.durability = Some(Durability {
+            journal,
+            snapshots: Mutex::new(snapshots),
+            snapshot_every,
+            appends_since_checkpoint: AtomicU64::new(0),
+            barrier: RwLock::new(()),
+            fsyncs_seen: AtomicU64::new(stats.fsyncs),
+            unsealed: Mutex::new(BTreeMap::new()),
+        });
         if let Some(blob) = &snapshot {
             let records = decode_records(&blob.payload)
                 .map_err(|e| durability_error(format!("snapshot payload corrupt: {e}")))?;
@@ -288,7 +319,6 @@ impl GramServerBuilder {
                 server.telemetry.record(Stage::Recovery, labels::REPLAY);
             }
         }
-        let covers = snapshot.as_ref().map_or(0, |blob| blob.covers_seq);
         for frame in &tail.records {
             if frame.seq <= covers {
                 continue;
@@ -300,27 +330,18 @@ impl GramServerBuilder {
             server.telemetry.record(Stage::Recovery, labels::REPLAY);
         }
         server.reclaim_orphaned_leases();
-        let stats = journal.stats();
         server.telemetry.set_gauge(Gauge::JournalBytes, stats.durable_bytes);
         server.telemetry.record_timed(
             Stage::Recovery,
             labels::PERMIT,
             u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
         );
-        server.durability = Some(Durability {
-            journal,
-            snapshots: Mutex::new(snapshots),
-            snapshot_every,
-            appends_since_checkpoint: AtomicU64::new(0),
-            barrier: RwLock::new(()),
-            fsyncs_seen: AtomicU64::new(stats.fsyncs),
-        });
         Ok(server)
     }
 
     /// [`GramServerBuilder::recover`] against the file-backed layout
-    /// under `dir` (`journal.wal` + `state.snapshot`, created when
-    /// absent).
+    /// under `dir` (`journal.wal` + `state.snapshot` + `state.sealed`,
+    /// created when absent).
     ///
     /// # Errors
     ///
@@ -497,6 +518,10 @@ struct Durability {
     /// Physical syncs already folded into telemetry, so the per-append
     /// fsync counter reports deltas exactly once under group commit.
     fsyncs_seen: AtomicU64,
+    /// Jobs not yet in the sealed segment, by job index: inserted at
+    /// submit and at replay, removed once a checkpoint has sealed them.
+    /// A checkpoint walks only these, never the sealed history.
+    unsealed: Mutex<BTreeMap<u64, Arc<JmiRecord>>>,
 }
 
 /// A GRAM resource: thread-safe, shared via `Arc` in concurrent
@@ -813,7 +838,11 @@ impl GramServer {
                 let _ = self.scheduler.write().cancel(local);
                 return Err(e);
             }
-            self.jobs.insert(contact.as_str().to_string(), Arc::new(record));
+            let record = Arc::new(record);
+            if let Some(durability) = &self.durability {
+                durability.unsealed.lock().insert(index, Arc::clone(&record));
+            }
+            self.jobs.insert(contact.as_str().to_string(), record);
             self.locals.insert(local, contact.as_str().to_string());
         }
         self.maybe_checkpoint();
@@ -859,15 +888,20 @@ impl GramServer {
                     // other cancellation: the sub-jobs' Submit records
                     // are already durable, so recovery would otherwise
                     // resurrect jobs the multi-request never
-                    // acknowledged.
+                    // acknowledged. A rollback that cannot be journaled
+                    // is counted, not dropped.
                     for contact in &contacts {
                         if let Some(local) = self.jobs.with(contact.as_str(), |r| r.local) {
-                            let _ = self.scheduler.write().cancel(local);
                             let _publish = self.durability.as_ref().map(|d| d.barrier.read());
-                            let _ = self.journal_append(&JournalRecord::Cancel {
+                            let _ = self.scheduler.write().cancel(local);
+                            let journaled = self.journal_append(&JournalRecord::Cancel {
                                 contact: contact.as_str().to_string(),
                                 at_micros: self.clock.now().as_micros(),
                             });
+                            if journaled.is_err() {
+                                self.telemetry
+                                    .record(Stage::JournalAppend, labels::ROLLBACK_UNJOURNALED);
+                            }
                         }
                     }
                     return Err(e);
@@ -905,21 +939,7 @@ impl GramServer {
         let (identity, record) = self.authenticate_and_find(caller, contact, trace)?;
         let result = self
             .authorize_management(ctx, &identity, &record, Action::Cancel, trace)
-            .and_then(|()| {
-                timed_stage(trace, Stage::Enforce, || {
-                    Ok(self.scheduler.write().cancel(record.local)?)
-                })
-            })
-            // Commit point: a cancel is only acknowledged once durable.
-            // A crash before this append recovers the job alive (the
-            // cancel was never acknowledged); a crash after recovers it
-            // cancelled, and recovery refuses to resurrect it.
-            .and_then(|()| {
-                self.journal_append(&JournalRecord::Cancel {
-                    contact: contact.as_str().to_string(),
-                    at_micros: self.clock.now().as_micros(),
-                })
-            });
+            .and_then(|()| self.cancel_durably(&record, trace));
         self.record_audit(
             identity.subject(),
             Action::Cancel,
@@ -930,6 +950,27 @@ impl GramServer {
         );
         self.maybe_checkpoint();
         result
+    }
+
+    /// Cancels an authorized job in the scheduler and journals the
+    /// cancel under one barrier read guard, so a checkpoint never sees
+    /// (and never seals) a cancel whose record is not yet durable.
+    ///
+    /// Commit point: a cancel is only acknowledged once durable. A crash
+    /// before the append recovers the job alive (the cancel was never
+    /// acknowledged); a crash after recovers it cancelled, and recovery
+    /// refuses to resurrect it.
+    fn cancel_durably(
+        &self,
+        record: &JmiRecord,
+        trace: &mut DecisionTrace,
+    ) -> Result<(), GramError> {
+        let _publish = self.durability.as_ref().map(|d| d.barrier.read());
+        timed_stage(trace, Stage::Enforce, || Ok(self.scheduler.write().cancel(record.local)?))?;
+        self.journal_append(&JournalRecord::Cancel {
+            contact: record.contact.as_str().to_string(),
+            at_micros: self.clock.now().as_micros(),
+        })
     }
 
     /// Queries job status (`action = information`).
@@ -1011,6 +1052,9 @@ impl GramServer {
         let result = self
             .authorize_management(ctx, &identity, &record, Action::Signal, trace)
             .and_then(|()| {
+                // Signal and record under one barrier read guard,
+                // like a cancel: a checkpoint sees both or neither.
+                let _publish = self.durability.as_ref().map(|d| d.barrier.read());
                 timed_stage(trace, Stage::Enforce, || {
                     let mut scheduler = self.scheduler.write();
                     match signal {
@@ -1019,9 +1063,7 @@ impl GramServer {
                         GramSignal::Priority(p) => scheduler.set_priority(record.local, p)?,
                     }
                     Ok(())
-                })
-            })
-            .and_then(|()| {
+                })?;
                 self.journal_append(&JournalRecord::Signal {
                     contact: contact.as_str().to_string(),
                     signal,
@@ -1236,18 +1278,7 @@ impl GramServer {
             .zip(verdicts)
             .zip(traces)
             .map(|((record, verdict), mut trace)| {
-                let result = verdict
-                    .and_then(|()| {
-                        timed_stage(&mut trace, Stage::Enforce, || {
-                            Ok(self.scheduler.write().cancel(record.local)?)
-                        })
-                    })
-                    .and_then(|()| {
-                        self.journal_append(&JournalRecord::Cancel {
-                            contact: record.contact.as_str().to_string(),
-                            at_micros: self.clock.now().as_micros(),
-                        })
-                    });
+                let result = verdict.and_then(|()| self.cancel_durably(&record, &mut trace));
                 self.record_audit(
                     identity.subject(),
                     Action::Cancel,
@@ -1641,13 +1672,18 @@ impl GramServer {
     /// Enqueues a record without waiting for its fsync: it rides the
     /// next committed batch (or the next flush). Best-effort — used for
     /// the audit trail, whose durability must never fail or slow the
-    /// audited operation. On memory-only servers this is a no-op.
+    /// audited operation; a rider the journal refuses is counted under
+    /// [`labels::RIDER_DROPPED`]. On memory-only servers this is a no-op.
     fn journal_append_relaxed(&self, record: &JournalRecord) {
         let Some(durability) = &self.durability else {
             return;
         };
-        let _ = durability.journal.append_relaxed(&record.encode());
-        durability.appends_since_checkpoint.fetch_add(1, Ordering::Relaxed);
+        match durability.journal.append_relaxed(&record.encode()) {
+            Ok(_) => {
+                durability.appends_since_checkpoint.fetch_add(1, Ordering::Relaxed);
+            }
+            Err(_) => self.telemetry.record(Stage::JournalAppend, labels::RIDER_DROPPED),
+        }
     }
 
     /// Checkpoints when the configured append budget is spent. Called
@@ -1663,35 +1699,49 @@ impl GramServer {
         if durability.appends_since_checkpoint.load(Ordering::Relaxed) >= durability.snapshot_every
         {
             // Best-effort: a failed checkpoint leaves the journal longer
-            // than intended but never loses state (the snapshot store
-            // replaces atomically; compaction only drops covered
-            // frames). A failure that poisons the journal surfaces on
-            // the next mutation's append.
-            let _ = self.checkpoint();
+            // than intended but never loses state (sealing appends,
+            // the snapshot store replaces atomically, compaction only
+            // drops covered frames). A failure that poisons the journal
+            // surfaces on the next mutation's append; every failure is
+            // counted.
+            if self.checkpoint().is_err() {
+                self.telemetry.record(Stage::JournalAppend, labels::CHECKPOINT_FAILED);
+            }
         }
     }
 
-    /// Serializes the server's durable state into a snapshot, saves it,
-    /// and compacts the journal through the snapshot's covering
-    /// sequence number. No-op on memory-only servers.
+    /// Seals the jobs that turned terminal since the last checkpoint,
+    /// saves a snapshot of the live state, and compacts the journal
+    /// through the snapshot's covering sequence number. No-op on
+    /// memory-only servers.
     ///
     /// The snapshot is *logical*: a record sequence re-expressing the
     /// current state in the same vocabulary the journal uses, so
-    /// recovery has one apply path for both. Save-before-compact
-    /// ordering makes a crash anywhere in between safe — the old
-    /// journal frames a torn snapshot would have covered are still
-    /// present.
+    /// recovery has one apply path for both. A terminal job's durable
+    /// form (`Submit` + `Cancel`) never changes again, so it is appended
+    /// once to the store's sealed segment and left out of every later
+    /// snapshot: a checkpoint costs the live state plus the jobs that
+    /// turned terminal since the last one, not the whole job history.
+    ///
+    /// Crash ordering: under the barrier the riders are flushed, the
+    /// covering sequence is captured and the records are collected;
+    /// then, outside it, seal (one sync), save, compact. A crash after
+    /// the seal leaves sealed jobs that the old snapshot or the journal
+    /// also names — replay makes those records no-ops. Jobs count as
+    /// sealed only once the seal succeeded; a failed seal saves no
+    /// snapshot, and the next checkpoint seals the same jobs.
     ///
     /// # Errors
     ///
-    /// [`GramError::AuthorizationSystemFailure`] when the snapshot
-    /// cannot be saved or the journal cannot be compacted.
+    /// [`GramError::AuthorizationSystemFailure`] when the riders cannot
+    /// be flushed, the jobs cannot be sealed, the snapshot cannot be
+    /// saved or the journal cannot be compacted.
     pub fn checkpoint(&self) -> Result<(), GramError> {
         let Some(durability) = &self.durability else {
             return Ok(());
         };
         let _admin = self.admin.lock();
-        let (covers, records) = {
+        let (covers, live, sealing) = {
             let _exclusive = durability.barrier.write();
             // Drain relaxed riders first so the snapshot's covering
             // sequence includes them — otherwise a rider flushed after
@@ -1701,9 +1751,23 @@ impl GramServer {
                 .journal
                 .flush()
                 .map_err(|e| durability_error(format!("flush failed: {e}")))?;
-            (durability.journal.committed_seq(), self.serialize_state())
+            let (live, sealing) = self.serialize_state(durability);
+            (durability.journal.committed_seq(), live, sealing)
         };
-        let blob = SnapshotBlob { covers_seq: covers, payload: encode_records(&records) };
+        if !sealing.is_empty() {
+            let payloads: Vec<Vec<u8>> =
+                sealing.iter().map(|(_, records)| encode_records(records)).collect();
+            durability
+                .snapshots
+                .lock()
+                .seal(&payloads)
+                .map_err(|e| durability_error(format!("seal failed: {e}")))?;
+            let mut unsealed = durability.unsealed.lock();
+            for (index, _) in &sealing {
+                unsealed.remove(index);
+            }
+        }
+        let blob = SnapshotBlob { covers_seq: covers, payload: encode_records(&live) };
         durability
             .snapshots
             .lock()
@@ -1718,9 +1782,14 @@ impl GramServer {
         Ok(())
     }
 
-    /// The server's current state as a journal-record sequence (the
-    /// snapshot payload). Caller holds the barrier write guard.
-    fn serialize_state(&self) -> Vec<JournalRecord> {
+    /// The server's live state as a journal-record sequence (the
+    /// snapshot payload), plus each unsealed job that turned terminal
+    /// as `(job index, Submit + Cancel)` ready to seal. Only unsealed
+    /// jobs are visited. Caller holds the barrier write guard.
+    fn serialize_state(
+        &self,
+        durability: &Durability,
+    ) -> (Vec<JournalRecord>, Vec<(u64, [JournalRecord; 2])>) {
         let mut records = Vec::new();
         let gatekeeper = self.gatekeeper.load();
         records.push(JournalRecord::SetGridmap {
@@ -1758,33 +1827,33 @@ impl GramServer {
                 records.push(JournalRecord::LeaseGrant { subject, account, expires_micros });
             }
         }
-        let mut jobs: Vec<Arc<JmiRecord>> = Vec::new();
-        self.jobs.for_each(|_, record| jobs.push(Arc::clone(record)));
-        jobs.sort_by_key(|record| record.index);
+        let mut sealing = Vec::new();
         {
+            let unsealed = durability.unsealed.lock();
             let scheduler = self.scheduler.read();
-            for record in &jobs {
+            for record in unsealed.values() {
                 let status = scheduler.status(record.local).ok();
                 let submitted = status.as_ref().map_or(SimTime::EPOCH, |status| status.submitted);
-                records.push(self.submit_record(record, submitted));
+                let submit = self.submit_record(record, submitted);
+                let contact = record.contact.as_str().to_string();
                 // Non-initial lifecycle states are re-expressed as the
                 // signal that produced them, so one replay path (Submit
-                // then Signal/Cancel) covers snapshot and tail alike.
-                // Execution progress is not snapshotted (restart
-                // semantics); terminal jobs collapse to Submit + Cancel.
-                if let Some(JobState::Suspended { .. }) =
-                    status.as_ref().map(|status| &status.state)
-                {
+                // then Signal/Cancel) covers sealed segment, snapshot
+                // and tail alike. Execution progress is not snapshotted
+                // (restart semantics); terminal jobs collapse to
+                // Submit + Cancel and are sealed.
+                let state = status.map(|status| status.state);
+                if let Some(at) = state.as_ref().and_then(terminal_at) {
+                    let cancel = JournalRecord::Cancel { contact, at_micros: at.as_micros() };
+                    sealing.push((record.index, [submit, cancel]));
+                    continue;
+                }
+                records.push(submit);
+                if let Some(JobState::Suspended { .. }) = state {
                     records.push(JournalRecord::Signal {
-                        contact: record.contact.as_str().to_string(),
+                        contact,
                         signal: GramSignal::Suspend,
                         at_micros: submitted.as_micros(),
-                    });
-                }
-                if let Some(at) = status.and_then(|status| terminal_at(&status.state)) {
-                    records.push(JournalRecord::Cancel {
-                        contact: record.contact.as_str().to_string(),
-                        at_micros: at.as_micros(),
                     });
                 }
             }
@@ -1792,7 +1861,7 @@ impl GramServer {
         for record in self.audit.lock().records() {
             records.push(audit_record_to_journal(record));
         }
-        records
+        (records, sealing)
     }
 
     /// The journal record making one admitted job durable.
@@ -1861,7 +1930,11 @@ impl GramServer {
                     dynamic: *dynamic,
                     index: *index,
                 };
-                self.jobs.insert(contact.clone(), Arc::new(record));
+                let record = Arc::new(record);
+                if let Some(durability) = &self.durability {
+                    durability.unsealed.lock().insert(*index, Arc::clone(&record));
+                }
+                self.jobs.insert(contact.clone(), record);
                 self.locals.insert(local, contact.clone());
             }
             JournalRecord::Cancel { contact, at_micros: _ } => {

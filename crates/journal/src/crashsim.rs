@@ -13,6 +13,11 @@
 //! * [`CrashMode::Short`] — only the first few header bytes landed (a
 //!   short sector write): the cut falls inside the frame header.
 //!
+//! A [`FaultDisk`] is one machine holding several files (journal,
+//! sealed segment, snapshot) that share one barrier count: the plan's
+//! crash can land on any file's `sync` or rename-style `replace`, and it
+//! takes every file's unsynced bytes with it.
+//!
 //! Because the crash fires *during* `sync`, the appender never observes a
 //! successful commit for the in-flight batch — which is exactly the WAL's
 //! contract: an acknowledged record is durable, an unacknowledged one may
@@ -87,12 +92,14 @@ impl CrashMode {
     }
 }
 
-/// When and how to crash: the device dies during its
-/// `crash_after_syncs`-th successful-so-far durability barrier (0-based:
-/// `crash_after_syncs == 0` kills the very first sync).
+/// When and how to crash: the machine dies during its
+/// `crash_after_syncs`-th durability barrier (0-based:
+/// `crash_after_syncs == 0` kills the very first one). Barriers are
+/// counted across every file of the [`FaultDisk`]: each `sync` and each
+/// rename-style `replace`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultPlan {
-    /// Index of the sync call that dies (previous syncs succeed).
+    /// Index of the barrier that dies (previous barriers succeed).
     pub crash_after_syncs: u64,
     /// What the platter keeps of the in-flight batch.
     pub mode: CrashMode,
@@ -100,18 +107,42 @@ pub struct FaultPlan {
     pub seed: u64,
 }
 
-#[derive(Debug)]
-struct DiskInner {
+#[derive(Debug, Default)]
+struct FileData {
     durable: Vec<u8>,
     pending: Vec<u8>,
+}
+
+#[derive(Debug)]
+struct DiskInner {
+    files: Vec<FileData>,
     syncs: u64,
     plan: Option<FaultPlan>,
     crashed: bool,
 }
 
-/// A shared simulated disk; [`FaultDisk::storage`] hands out the
-/// [`FaultFile`] device a journal writes through, while the disk handle
-/// survives the "crash" so the harness can read what the platter kept.
+impl DiskInner {
+    /// True when the barrier about to run is the planned crash.
+    fn crash_due(&self) -> bool {
+        self.plan.is_some_and(|plan| self.syncs == plan.crash_after_syncs)
+    }
+
+    /// The machine dies: the page cache (every file's pending bytes) is
+    /// lost and every handle fails from now on.
+    fn die(&mut self) -> io::Error {
+        for file in &mut self.files {
+            file.pending.clear();
+        }
+        self.crashed = true;
+        died()
+    }
+}
+
+/// A shared simulated machine with any number of files that crash
+/// together. [`FaultDisk::file`] hands out the [`FaultFile`] devices the
+/// journal, the snapshot and the sealed segment write through, while the
+/// disk handle survives the "crash" so the harness can read what the
+/// platter kept.
 #[derive(Debug, Clone)]
 pub struct FaultDisk {
     inner: Arc<Mutex<DiskInner>>,
@@ -122,8 +153,7 @@ impl FaultDisk {
     pub fn new(plan: Option<FaultPlan>) -> FaultDisk {
         FaultDisk {
             inner: Arc::new(Mutex::new(DiskInner {
-                durable: Vec::new(),
-                pending: Vec::new(),
+                files: Vec::new(),
                 syncs: 0,
                 plan,
                 crashed: false,
@@ -131,16 +161,47 @@ impl FaultDisk {
         }
     }
 
-    /// A disk pre-loaded with `bytes` (recovered contents).
+    /// A disk whose file 0 is pre-loaded with `bytes` (recovered
+    /// contents).
     pub fn from_bytes(bytes: Vec<u8>) -> FaultDisk {
         let disk = FaultDisk::new(None);
-        disk.inner.lock().expect("disk mutex poisoned").durable = bytes;
+        disk.inner
+            .lock()
+            .expect("disk mutex poisoned")
+            .files
+            .push(FileData { durable: bytes, pending: Vec::new() });
         disk
     }
 
-    /// The device handle to open a journal over.
+    /// A fresh machine holding what this one's platter kept in every
+    /// file, dying per `plan` — the restart after a crash (and, with a
+    /// plan, the run up to the next one).
+    pub fn survivor(&self, plan: Option<FaultPlan>) -> FaultDisk {
+        let files = self
+            .inner
+            .lock()
+            .expect("disk mutex poisoned")
+            .files
+            .iter()
+            .map(|file| FileData { durable: file.durable.clone(), pending: Vec::new() })
+            .collect();
+        FaultDisk {
+            inner: Arc::new(Mutex::new(DiskInner { files, syncs: 0, plan, crashed: false })),
+        }
+    }
+
+    /// File 0's device: the journal's.
     pub fn storage(&self) -> FaultFile {
-        FaultFile { inner: Arc::clone(&self.inner) }
+        self.file(0)
+    }
+
+    /// The device for file `index` (created empty on first use).
+    pub fn file(&self, index: usize) -> FaultFile {
+        let mut inner = self.inner.lock().expect("disk mutex poisoned");
+        if inner.files.len() <= index {
+            inner.files.resize_with(index + 1, FileData::default);
+        }
+        FaultFile { inner: Arc::clone(&self.inner), index }
     }
 
     /// True once the planned crash has fired.
@@ -148,106 +209,117 @@ impl FaultDisk {
         self.inner.lock().expect("disk mutex poisoned").crashed
     }
 
-    /// What the platter holds — exactly the bytes a post-crash recovery
-    /// would read.
+    /// What the platter holds in file 0 — exactly the bytes a
+    /// post-crash journal recovery would read.
     pub fn durable_bytes(&self) -> Vec<u8> {
-        self.inner.lock().expect("disk mutex poisoned").durable.clone()
+        self.durable_file(0)
     }
 
-    /// Durability barriers completed so far.
+    /// What the platter holds in file `index`.
+    pub fn durable_file(&self, index: usize) -> Vec<u8> {
+        let inner = self.inner.lock().expect("disk mutex poisoned");
+        inner.files.get(index).map(|file| file.durable.clone()).unwrap_or_default()
+    }
+
+    /// Durability barriers completed so far, across every file.
     pub fn syncs(&self) -> u64 {
         self.inner.lock().expect("disk mutex poisoned").syncs
     }
 }
 
-/// The [`Storage`] device a [`FaultDisk`] exposes.
+/// One file's [`Storage`] device on a [`FaultDisk`].
 #[derive(Debug)]
 pub struct FaultFile {
     inner: Arc<Mutex<DiskInner>>,
+    index: usize,
 }
 
 fn died() -> io::Error {
     io::Error::other("simulated crash: device is gone")
 }
 
-impl Storage for FaultFile {
-    fn read_all(&mut self) -> io::Result<Vec<u8>> {
+impl FaultFile {
+    fn live(&self) -> io::Result<std::sync::MutexGuard<'_, DiskInner>> {
         let inner = self.inner.lock().expect("disk mutex poisoned");
         if inner.crashed {
             return Err(died());
         }
-        let mut all = inner.durable.clone();
-        all.extend_from_slice(&inner.pending);
+        Ok(inner)
+    }
+}
+
+impl Storage for FaultFile {
+    fn read_all(&mut self) -> io::Result<Vec<u8>> {
+        let inner = self.live()?;
+        let file = &inner.files[self.index];
+        let mut all = file.durable.clone();
+        all.extend_from_slice(&file.pending);
         Ok(all)
     }
 
     fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
-        let mut inner = self.inner.lock().expect("disk mutex poisoned");
-        if inner.crashed {
-            return Err(died());
-        }
-        inner.pending.extend_from_slice(bytes);
+        let mut inner = self.live()?;
+        inner.files[self.index].pending.extend_from_slice(bytes);
         Ok(())
     }
 
     fn sync(&mut self) -> io::Result<()> {
-        let mut inner = self.inner.lock().expect("disk mutex poisoned");
-        if inner.crashed {
-            return Err(died());
-        }
-        if let Some(plan) = inner.plan {
-            if inner.syncs == plan.crash_after_syncs {
-                let mut rng = CrashRng::new(plan.seed).substream(inner.syncs);
-                let pending = std::mem::take(&mut inner.pending);
-                let kept = match plan.mode {
-                    CrashMode::Kill => 0,
-                    // A strict prefix: never the complete batch.
-                    CrashMode::Torn => {
-                        if pending.len() > 1 {
-                            1 + rng.below(pending.len() as u64 - 1) as usize
-                        } else {
-                            0
-                        }
+        let mut inner = self.live()?;
+        if inner.crash_due() {
+            let plan = inner.plan.expect("crash_due implies a plan");
+            let mut rng = CrashRng::new(plan.seed).substream(inner.syncs);
+            let file = &mut inner.files[self.index];
+            let pending = std::mem::take(&mut file.pending);
+            let kept = match plan.mode {
+                CrashMode::Kill => 0,
+                // A strict prefix: never the complete batch.
+                CrashMode::Torn => {
+                    if pending.len() > 1 {
+                        1 + rng.below(pending.len() as u64 - 1) as usize
+                    } else {
+                        0
                     }
-                    CrashMode::Short => {
-                        let limit = pending.len().min(FRAME_HEADER_LEN);
-                        if limit > 0 {
-                            rng.below(limit as u64) as usize
-                        } else {
-                            0
-                        }
+                }
+                CrashMode::Short => {
+                    let limit = pending.len().min(FRAME_HEADER_LEN);
+                    if limit > 0 {
+                        rng.below(limit as u64) as usize
+                    } else {
+                        0
                     }
-                };
-                inner.durable.extend_from_slice(&pending[..kept]);
-                inner.crashed = true;
-                return Err(died());
-            }
+                }
+            };
+            file.durable.extend_from_slice(&pending[..kept]);
+            return Err(inner.die());
         }
         inner.syncs += 1;
-        let pending = std::mem::take(&mut inner.pending);
-        inner.durable.extend_from_slice(&pending);
+        let file = &mut inner.files[self.index];
+        let pending = std::mem::take(&mut file.pending);
+        file.durable.extend_from_slice(&pending);
         Ok(())
     }
 
     fn truncate(&mut self, len: u64) -> io::Result<()> {
-        let mut inner = self.inner.lock().expect("disk mutex poisoned");
-        if inner.crashed {
-            return Err(died());
-        }
-        inner.pending.clear();
-        inner.durable.truncate(len as usize);
+        let mut inner = self.live()?;
+        let file = &mut inner.files[self.index];
+        file.pending.clear();
+        file.durable.truncate(len as usize);
         Ok(())
     }
 
     fn replace(&mut self, bytes: &[u8]) -> io::Result<()> {
-        let mut inner = self.inner.lock().expect("disk mutex poisoned");
-        if inner.crashed {
-            return Err(died());
+        let mut inner = self.live()?;
+        // Rename-style replacement is a durability barrier that happens
+        // entirely or not at all: when the crash lands on it, the rename
+        // never took place and the old contents survive, whatever the
+        // mode.
+        if inner.crash_due() {
+            return Err(inner.die());
         }
-        // Rename-style replacement is atomic: it happens entirely or not
-        // at all, independent of the sync-counter crash plan.
-        inner.pending.clear();
-        inner.durable = bytes.to_vec();
+        inner.syncs += 1;
+        let file = &mut inner.files[self.index];
+        file.pending.clear();
+        file.durable = bytes.to_vec();
         Ok(())
     }
 }
@@ -296,6 +368,38 @@ mod tests {
                 assert_eq!(replay.records[0].payload, b"acknowledged-record");
             }
         }
+    }
+
+    #[test]
+    fn files_share_one_barrier_count_and_die_together() {
+        let disk = FaultDisk::new(Some(FaultPlan {
+            crash_after_syncs: 2,
+            mode: CrashMode::Kill,
+            seed: 5,
+        }));
+        let mut wal = disk.file(0);
+        let mut sealed = disk.file(1);
+        let mut blob = disk.file(2);
+        wal.append(b"w1").unwrap();
+        wal.sync().unwrap();
+        sealed.append(b"s1").unwrap();
+        sealed.sync().unwrap();
+        wal.append(b"unsynced").unwrap();
+        // The third barrier — a replace on another file — is the crash:
+        // the rename never happens and the page cache is lost.
+        assert!(blob.replace(b"snapshot").is_err());
+        assert!(disk.crashed());
+        assert!(sealed.append(b"s2").is_err(), "every file dies with the machine");
+        assert_eq!(disk.syncs(), 2);
+
+        let survivor = disk.survivor(None);
+        assert_eq!(survivor.durable_bytes(), b"w1");
+        assert_eq!(survivor.durable_file(1), b"s1");
+        assert_eq!(survivor.durable_file(2), b"");
+        let mut blob = survivor.file(2);
+        blob.replace(b"snapshot").unwrap();
+        assert_eq!(survivor.durable_file(2), b"snapshot");
+        assert_eq!(disk.durable_file(2), b"", "survivors are independent machines");
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Durability substrate for the GRAM service: an append-only, checksummed,
 //! length-prefixed write-ahead log with group-commit batching, torn-tail
-//! truncation on open, and periodic snapshot compaction.
+//! truncation on open, periodic snapshot compaction, and an append-only
+//! sealed segment for records that never change again.
 //!
 //! The paper's companion implementation report (cs/0311025) relies on the
 //! job manager recovering managed jobs after failure; this crate supplies
@@ -31,6 +32,7 @@
 
 pub mod codec;
 pub mod crashsim;
+mod sealed;
 pub mod snapshot;
 pub mod storage;
 pub mod wal;

@@ -131,7 +131,7 @@ impl std::fmt::Debug for Journal {
     }
 }
 
-fn encode_frame(out: &mut Vec<u8>, seq: u64, payload: &[u8]) {
+pub(crate) fn encode_frame(out: &mut Vec<u8>, seq: u64, payload: &[u8]) {
     out.extend_from_slice(&u32::try_from(payload.len()).expect("payload bounded").to_le_bytes());
     out.extend_from_slice(&seq.to_le_bytes());
     out.extend_from_slice(&frame_check(seq, payload).to_le_bytes());
@@ -149,7 +149,7 @@ fn frame_check(seq: u64, payload: &[u8]) -> u64 {
 /// Scans `bytes` for intact frames; returns the records plus the byte
 /// length of the valid prefix. Scanning stops at the first frame that is
 /// incomplete, fails its checksum, or breaks sequence contiguity.
-fn scan_frames(bytes: &[u8]) -> (Vec<ReplayRecord>, usize) {
+pub(crate) fn scan_frames(bytes: &[u8]) -> (Vec<ReplayRecord>, usize) {
     let mut records = Vec::new();
     let mut pos = 0usize;
     let mut expect_seq: Option<u64> = None;
@@ -190,13 +190,29 @@ impl Journal {
     /// # Errors
     ///
     /// Any I/O error reading or truncating the device.
-    pub fn open(mut storage: Box<dyn Storage>) -> io::Result<(Journal, Replay)> {
+    pub fn open(storage: Box<dyn Storage>) -> io::Result<(Journal, Replay)> {
+        Journal::open_after(storage, 0)
+    }
+
+    /// [`Journal::open`] for a journal whose frames through `covered`
+    /// live in a snapshot: new appends are numbered above `covered` even
+    /// when compaction left the log empty. Without this floor a reopened,
+    /// fully compacted log would restart at sequence 1, and recovery
+    /// would skip the post-restart records as already covered.
+    ///
+    /// # Errors
+    ///
+    /// Any I/O error reading or truncating the device.
+    pub fn open_after(
+        mut storage: Box<dyn Storage>,
+        covered: u64,
+    ) -> io::Result<(Journal, Replay)> {
         let bytes = storage.read_all()?;
         let (records, valid_len) = scan_frames(&bytes);
         if valid_len < bytes.len() {
             storage.truncate(valid_len as u64)?;
         }
-        let next_seq = records.last().map_or(1, |r| r.seq + 1);
+        let next_seq = records.last().map_or(1, |r| r.seq + 1).max(covered.saturating_add(1));
         let replay = Replay {
             truncated_bytes: (bytes.len() - valid_len) as u64,
             valid_bytes: valid_len as u64,
@@ -487,6 +503,28 @@ mod tests {
         assert_eq!(seqs, vec![5, 6, 7]);
         // Sequence numbering continues from the surviving tail.
         assert_eq!(journal.append(&[1]).unwrap(), 8);
+    }
+
+    #[test]
+    fn reopen_after_full_compaction_continues_above_the_snapshot() {
+        let device = MemStorage::new();
+        let (journal, _) = open_mem(&device);
+        for i in 0..6u8 {
+            journal.append(&[i]).unwrap();
+        }
+        // A checkpoint covering every frame leaves the log empty.
+        journal.compact_through(6).unwrap();
+        drop(journal);
+
+        let (journal, replay) = Journal::open_after(Box::new(device.clone()), 6).unwrap();
+        assert!(replay.records.is_empty());
+        assert_eq!(journal.committed_seq(), 6);
+        // Numbered above the snapshot, so the next recovery replays it.
+        assert_eq!(journal.append(&[7]).unwrap(), 7);
+        drop(journal);
+        let (_, replay) = Journal::open_after(Box::new(device.clone()), 6).unwrap();
+        let seqs: Vec<u64> = replay.records.iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, vec![7]);
     }
 
     #[test]

@@ -365,8 +365,8 @@ pub struct CrashRecoveryReport {
     pub cancelled: usize,
     /// WAL bytes on the device at crash time — the tail recovery replays.
     pub journal_bytes: u64,
-    /// Snapshot bytes recovery loaded before the tail (0 when no
-    /// checkpoint fired before the crash).
+    /// Snapshot plus sealed-segment payload bytes recovery loaded
+    /// before the tail (0 when no checkpoint fired before the crash).
     pub snapshot_bytes: u64,
     /// Wall time of the post-crash rebuild, nanoseconds.
     pub recovery_nanos: u64,
@@ -424,8 +424,9 @@ pub fn crash_recovery(jobs: usize, snapshot_every: u64) -> CrashRecoveryReport {
     // Measure what the platter kept *before* the rebuild touches it —
     // recovery itself may checkpoint and compact the tail away.
     let journal_bytes = storage.contents().len() as u64;
-    let snapshot_bytes =
-        snapshots.clone().load().ok().flatten().map_or(0, |blob| blob.encode().len() as u64);
+    let mut store = snapshots.clone();
+    let snapshot_bytes = store.load().ok().flatten().map_or(0, |blob| blob.encode().len() as u64)
+        + store.load_sealed().map_or(0, |sealed| sealed.iter().map(|p| p.len() as u64).sum());
 
     let start = std::time::Instant::now();
     let tb = build();

@@ -13,8 +13,11 @@
 //! frame, duplicated header), three are the admission vocabulary (load
 //! shed, deadline expired in queue, shutdown drain), two are the
 //! connection-lifecycle vocabulary (idle-read timeout, per-connection
-//! error budget exhausted), and the last two are the durability
-//! vocabulary (physical journal fsyncs, records replayed at recovery).
+//! error budget exhausted), and the last five are the durability
+//! vocabulary (physical journal fsyncs, records replayed at recovery,
+//! and the three best-effort durability steps whose failure is counted
+//! rather than propagated: an automatic checkpoint, an audit rider's
+//! enqueue, and a multi-request rollback's cancel record).
 
 /// A granted stage or a permitted decision.
 pub const PERMIT: &str = "permit";
@@ -83,9 +86,18 @@ pub const ERROR_BUDGET: &str = "error-budget";
 pub const FSYNC: &str = "fsync";
 /// A journal (or snapshot) record was replayed during startup recovery.
 pub const REPLAY: &str = "replay";
+/// An automatic checkpoint (flush, seal, snapshot save or compaction)
+/// failed; the journal keeps every record, it just stays longer.
+pub const CHECKPOINT_FAILED: &str = "checkpoint-failed";
+/// A best-effort record (an audit rider) could not be enqueued on the
+/// journal.
+pub const RIDER_DROPPED: &str = "rider-dropped";
+/// A multi-request rollback cancelled a sub-job but could not journal
+/// the cancel.
+pub const ROLLBACK_UNJOURNALED: &str = "rollback-unjournaled";
 
 /// Every label in the vocabulary, in canonical (reporting) order.
-pub const ALL: [&str; 30] = [
+pub const ALL: [&str; 33] = [
     PERMIT,
     HIT,
     MISS,
@@ -116,6 +128,9 @@ pub const ALL: [&str; 30] = [
     ERROR_BUDGET,
     FSYNC,
     REPLAY,
+    CHECKPOINT_FAILED,
+    RIDER_DROPPED,
+    ROLLBACK_UNJOURNALED,
 ];
 
 /// Index of `label` in [`ALL`], or `None` for a string outside the

@@ -16,6 +16,18 @@ cargo test -q
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+echo "==> cargo test --manifest-path perfbench/Cargo.toml (seed determinism)"
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
+
+echo "==> perfbench smoke (submit-cancel-durable, 4 s: real-TCP recovery + oracle)"
+result=$(cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+    --workload submit-cancel-durable --seed 1 --seconds 4 --trace 0 | tail -n 1)
+echo "$result"
+if ! grep -q '"correct": true' <<<"$result" || ! grep -q '"failed": 0,' <<<"$result"; then
+    echo "perfbench smoke: expected \"correct\": true and \"failed\": 0" >&2
+    exit 1
+fi
+
 echo "==> harness t10 (callout resilience phase tables)"
 cargo run -p gridauthz-bench --bin harness --release -- t10
 

@@ -2,9 +2,10 @@
 //! borrowed (zero-copy) decode against the owned decode, and encoding
 //! into a reused buffer against allocating a fresh `String` per
 //! response — the two codec-level savings the serving layer's warm path
-//! is built on.
+//! is built on. The `sha256` group times the digest every frame pays
+//! twice (auth-cache key, journal frame check) on both backends.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gridauthz_clock::SimDuration;
 use gridauthz_gram::wire::{WireRequest, WireRequestRef, WireResponse};
 
@@ -57,5 +58,31 @@ fn bench_wire_codec(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_wire_codec);
+// The hasher's source compiled into this bench, so the crate-private
+// backend selector is reachable without widening the library's API.
+#[allow(dead_code)]
+#[path = "../../credential/src/sha256.rs"]
+mod sha256;
+
+fn bench_sha256(c: &mut Criterion) {
+    let mut group = c.benchmark_group("sha256");
+    let mut backends = vec![("portable", sha256::Backend::Portable)];
+    if sha256::Backend::detected() != sha256::Backend::Portable {
+        backends.push(("sha-ni", sha256::Backend::detected()));
+    }
+    // 64 B: one block; 150 B: an audit rider frame; 648 B: a PEM
+    // identity chain (the auth-cache key); 4 KiB: a bulk payload.
+    for len in [64usize, 150, 648, 4096] {
+        let data: Vec<u8> = (0..len).map(|i| i as u8).collect();
+        group.throughput(Throughput::Bytes(len as u64));
+        for &(name, backend) in &backends {
+            group.bench_with_input(BenchmarkId::new(name, len), &data, |b, data| {
+                b.iter(|| sha256::sha256_with(backend, std::hint::black_box(data)));
+            });
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_wire_codec, bench_sha256);
 criterion_main!(benches);

@@ -11,8 +11,11 @@
 //!
 //! This cache turns repeat-client verification into a digest lookup.
 //! The key is the SHA-256 of the PEM text as it appeared on the wire; a
-//! hit skips PEM decoding *and* chain verification. Correctness rests
-//! on the same two properties as the [`DecisionCache`]:
+//! hit skips PEM decoding *and* chain verification and pays only that
+//! digest, which runs on the CPU's SHA extensions where it has them
+//! (about 0.5 µs for a ~650-byte identity chain, against 3.6 µs for the
+//! portable code; see `credential::sha256`). Correctness rests on the
+//! same two properties as the [`DecisionCache`]:
 //!
 //! * **Exact keys.** The digest covers the raw PEM bytes, so any
 //!   difference in the presented credential — another proxy, another
@@ -183,20 +186,21 @@ impl AuthCache {
         }
     }
 
-    /// Stores a freshly verified chain. When the shard is full, entries
-    /// that could no longer hit — older generations, expired windows —
-    /// are dropped first; if every entry is live the shard is cleared
-    /// (repeat clients repopulate it in one round trip each).
-    pub fn insert(&self, key: [u8; 32], entry: AuthEntry) {
+    /// Stores a freshly verified chain — the same `Arc` the caller
+    /// hands back to its request. When the shard is full, entries that
+    /// could no longer hit at `now` — older generations, expired
+    /// windows — are dropped first; if every entry is live the shard is
+    /// cleared (repeat clients repopulate it in one round trip each).
+    pub fn insert(&self, key: [u8; 32], entry: Arc<AuthEntry>, now: SimTime) {
         let mut shard = self.shard(&key).lock();
         if shard.len() >= SHARD_CAPACITY && !shard.contains_key(&key) {
-            let (generation, now) = (entry.generation, entry.valid_from);
+            let generation = entry.generation;
             shard.retain(|_, held| held.live(generation, now));
             if shard.len() >= SHARD_CAPACITY {
                 shard.clear();
             }
         }
-        shard.insert(key, Arc::new(entry));
+        shard.insert(key, entry);
     }
 
     /// Entries currently held, across all shards.
@@ -250,14 +254,23 @@ mod tests {
         Fixture { clock, trust, chain: user.chain().to_vec(), identity }
     }
 
+    impl Fixture {
+        fn entry(&self, generation: u64) -> Arc<AuthEntry> {
+            Arc::new(AuthEntry::new(generation, self.chain.clone(), self.identity.clone()))
+        }
+    }
+
     #[test]
     fn hit_returns_the_verified_identity() {
         let f = fixture();
         let cache = AuthCache::new();
         let key = AuthCache::digest("-----BEGIN CERTIFICATE-----\n...");
         assert!(cache.lookup(&key, 0, f.clock.now()).is_none());
-        cache.insert(key, AuthEntry::new(0, f.chain.clone(), f.identity.clone()));
+        let inserted = f.entry(0);
+        cache.insert(key, Arc::clone(&inserted), f.clock.now());
         let entry = cache.lookup(&key, 0, f.clock.now()).expect("fresh entry hits");
+        // The cache holds the caller's allocation, not a copy of it.
+        assert!(Arc::ptr_eq(&entry, &inserted));
         assert_eq!(entry.identity().subject(), f.identity.subject());
         assert_eq!(entry.chain().len(), f.chain.len());
         let stats = cache.stats();
@@ -270,7 +283,7 @@ mod tests {
         let f = fixture();
         let cache = AuthCache::new();
         let key = AuthCache::digest("pem");
-        cache.insert(key, AuthEntry::new(3, f.chain.clone(), f.identity.clone()));
+        cache.insert(key, f.entry(3), f.clock.now());
         assert!(cache.lookup(&key, 3, f.clock.now()).is_some());
         // An administrative bump strands the entry; the stale entry is
         // dropped on first sight.
@@ -283,8 +296,7 @@ mod tests {
         let f = fixture();
         let cache = AuthCache::new();
         let key = AuthCache::digest("pem");
-        let entry = AuthEntry::new(0, f.chain.clone(), f.identity.clone());
-        cache.insert(key, entry);
+        cache.insert(key, f.entry(0), f.clock.now());
         // Advance past the one-hour credential lifetime: the cached
         // verification must not outlive the chain itself.
         f.clock.advance(SimDuration::from_hours(2));
@@ -305,13 +317,57 @@ mod tests {
             key[0] = 0; // one shard
             key[1..9].copy_from_slice(&(i as u64).to_le_bytes());
             if i < SHARD_CAPACITY {
-                cache.insert(key, AuthEntry::new(0, f.chain.clone(), f.identity.clone()));
+                cache.insert(key, f.entry(0), f.clock.now());
             }
             keys.push(key);
         }
         let last = *keys.last().unwrap();
-        cache.insert(last, AuthEntry::new(1, f.chain.clone(), f.identity.clone()));
+        cache.insert(last, f.entry(1), f.clock.now());
         assert!(cache.lookup(&last, 1, f.clock.now()).is_some());
         assert!(cache.len() <= SHARD_CAPACITY);
+    }
+
+    /// Keys that all land in shard 0.
+    fn shard0_key(i: usize) -> [u8; 32] {
+        let mut key = [0u8; 32];
+        key[1..9].copy_from_slice(&(i as u64).to_le_bytes());
+        key
+    }
+
+    #[test]
+    fn full_shard_prunes_entries_expired_at_now_and_keeps_live_ones() {
+        let clock = SimClock::new();
+        let ca = CertificateAuthority::new_root("/O=Grid/CN=CA", &clock).unwrap();
+        let mut trust = TrustStore::new();
+        trust.add_anchor(ca.certificate().clone());
+        let issue = |cn: &str, hours| {
+            let user = ca.issue_identity(cn, SimDuration::from_hours(hours)).unwrap();
+            let identity = verify_chain(user.chain(), &trust, clock.now()).unwrap();
+            Arc::new(AuthEntry::new(0, user.chain().to_vec(), identity))
+        };
+        let short = issue("/O=Grid/CN=Short", 1);
+        let long = issue("/O=Grid/CN=Long", 10);
+        // Verified at the start of the day, so its window opens before
+        // the short-lived chains close.
+        let newcomer = issue("/O=Grid/CN=Newcomer", 10);
+
+        let cache = AuthCache::new();
+        for i in 0..SHARD_CAPACITY {
+            let entry = if i % 2 == 0 { &short } else { &long };
+            cache.insert(shard0_key(i), Arc::clone(entry), clock.now());
+        }
+        // The short-lived half expires; the long-lived half stays live.
+        clock.advance(SimDuration::from_hours(2));
+        let now = clock.now();
+        cache.insert(shard0_key(SHARD_CAPACITY), newcomer, now);
+
+        // Pruned at `now`, not at the newcomer's `valid_from` (where the
+        // expired half would still look live and force a full clear).
+        assert_eq!(cache.len(), SHARD_CAPACITY / 2 + 1);
+        for i in 0..SHARD_CAPACITY {
+            let hit = cache.lookup(&shard0_key(i), 0, now).is_some();
+            assert_eq!(hit, i % 2 == 1, "entry {i}");
+        }
+        assert!(cache.lookup(&shard0_key(SHARD_CAPACITY), 0, now).is_some());
     }
 }

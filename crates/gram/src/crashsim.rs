@@ -55,6 +55,12 @@ use crate::server::{GramServer, GramServerBuilder};
 /// admits it immediately and deterministically).
 const JOB_RSL: &str = "&(executable = transp)(directory = /sandbox/run)(count = 1)";
 
+/// Status polls in the script's read stretch: enough audit riders
+/// (about 100 bytes each) to fill the journal's pending buffer past
+/// [`SPILL_BYTES`](gridauthz_journal::wal::SPILL_BYTES) at least once
+/// before the next synced mutation.
+const READ_STRETCH_POLLS: usize = 1024;
+
 /// The simulated machine's files: all three crash together.
 const WAL_FILE: usize = 0;
 const SEALED_FILE: usize = 1;
@@ -167,7 +173,9 @@ impl CrashWorld {
     /// credential revocation — so the crash-point sweep exercises every
     /// commit barrier the server has. Two operator checkpoints each seal
     /// a freshly cancelled job, so seal, snapshot-save and compaction
-    /// barriers are swept too, whatever the automatic cadence.
+    /// barriers are swept too, whatever the automatic cadence. A read
+    /// stretch spills audit riders to the journal unsynced, so step 4's
+    /// barrier is also the first sync of spilled frames.
     fn run_workload(&self, server: &GramServer, oracle: &mut Oracle) {
         let work = SimDuration::from_mins(30);
         // 1. Alice submits J1 under her grid-mapfile account.
@@ -184,6 +192,8 @@ impl CrashWorld {
         if oracle.submit(server.submit(self.kate.chain(), JOB_RSL, None, work), true).is_none() {
             return;
         }
+        // Alice polls J1: reads only, their riders spill.
+        self.read_stretch(server, &j1);
         // 4. Alice suspends J1.
         if !oracle.step(server.signal(self.alice.chain(), &j1, GramSignal::Suspend), |o| {
             o.job_mut(&j1).suspended = true;
@@ -228,6 +238,15 @@ impl CrashWorld {
         }
         // 10. Alice submits J5, the final acknowledged job.
         oracle.submit(server.submit(self.alice.chain(), JOB_RSL, None, work), false);
+    }
+
+    /// Alice polls `job` [`READ_STRETCH_POLLS`] times. A read crosses no
+    /// durability barrier; its audit rider queues on the journal, and
+    /// past `SPILL_BYTES` of them the queue is written out unsynced.
+    fn read_stretch(&self, server: &GramServer, job: &JobContact) {
+        for _ in 0..READ_STRETCH_POLLS {
+            server.status(self.alice.chain(), job).expect("Alice may poll her own job");
+        }
     }
 
     /// The second cycle's script, run on a recovered server: a submit, a
@@ -640,6 +659,25 @@ mod tests {
         // batch, so the count tracks acknowledged mutations (plus the
         // shutdown flush), not total records.
         assert!(syncs >= 12, "workload crossed only {syncs} durability barriers");
+    }
+
+    #[test]
+    fn read_stretch_spills_riders_without_a_barrier() {
+        use gridauthz_journal::wal::SPILL_BYTES;
+        use gridauthz_journal::Storage;
+
+        let world = CrashWorld::new();
+        let disk = FaultDisk::new(None);
+        let server = world.builder().recover(durable_on(&disk, 0)).expect("durable server");
+        let work = SimDuration::from_mins(30);
+        let j1 = server.submit(world.alice.chain(), JOB_RSL, None, work).unwrap();
+        let barriers = disk.syncs();
+        world.read_stretch(&server, &j1);
+        assert_eq!(disk.syncs(), barriers, "reads cross no durability barrier");
+        // The spilled riders sit in the page cache, written but unsynced.
+        let written = disk.file(WAL_FILE).read_all().unwrap().len();
+        let durable = disk.durable_file(WAL_FILE).len();
+        assert!(written - durable >= SPILL_BYTES, "only {} unsynced bytes", written - durable);
     }
 
     #[test]

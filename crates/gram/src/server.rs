@@ -2141,7 +2141,7 @@ impl GramServer {
         match verified {
             Ok(entry) => {
                 let entry = Arc::new(entry);
-                self.auth_cache.insert(key, (*entry).clone());
+                self.auth_cache.insert(key, Arc::clone(&entry), now);
                 self.telemetry.record_timed(
                     Stage::Authenticate,
                     labels::MISS,

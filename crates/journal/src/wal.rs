@@ -20,6 +20,18 @@
 //! ride acknowledged mutations' batches this way, so even a
 //! single-threaded mutation stream commits about two records per sync.
 //!
+//! # Spilling
+//!
+//! A read-only load enqueues riders and never commits, so the pending
+//! buffer is bounded: once it holds [`SPILL_BYTES`] and no leader is in
+//! flight, the relaxed appender *spills* — it takes the leader role,
+//! writes the pending batch with `Storage::append` and does **not**
+//! sync. A spill never advances the committed sequence: spilled frames
+//! become durable with the next synced batch (whose leader syncs even
+//! when its own batch is empty), exactly the riders' contract before
+//! the spill. The appends and durable bytes of spilled frames are
+//! counted once, at that sync.
+//!
 //! # Fail-stop
 //!
 //! The first write or sync error poisons the journal: the failed batch's
@@ -42,6 +54,10 @@ pub const FRAME_HEADER_LEN: usize = 4 + 8 + 8;
 /// Upper bound on one frame's payload — anything larger on disk is
 /// treated as corruption rather than an allocation request.
 pub const MAX_PAYLOAD_LEN: usize = 1 << 24;
+
+/// Pending-buffer size at which a relaxed append writes the buffer out
+/// without syncing it (see the module docs' "Spilling").
+pub const SPILL_BYTES: usize = 64 * 1024;
 
 /// Why an append failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -106,7 +122,10 @@ struct State {
     /// Frames in `pending` — the leader folds this into the `appends`
     /// counter once the batch is durable.
     pending_count: u64,
-    /// A leader is currently writing+syncing a batch.
+    /// Frames a spill wrote to the device that no sync has covered yet.
+    spilled_count: u64,
+    /// A leader is currently writing (and, unless spilling, syncing) a
+    /// batch.
     leader_active: bool,
     /// Appenders parked on the condition variable. The leader skips the
     /// wakeup syscall entirely when nobody is waiting (the common
@@ -115,11 +134,35 @@ struct State {
     dead: Option<String>,
 }
 
+/// The device plus the byte count a spill appended since its last sync
+/// (or compaction) — kept under one lock so `durable_bytes` moves only
+/// when those bytes really become durable.
+struct Device {
+    storage: Box<dyn Storage>,
+    unsynced_bytes: u64,
+}
+
+impl Device {
+    /// Writes `batch`; with `sync`, also makes it and every earlier
+    /// spill durable and returns how many bytes just became durable.
+    fn write(&mut self, batch: &[u8], sync: bool) -> io::Result<u64> {
+        if !batch.is_empty() {
+            self.storage.append(batch)?;
+        }
+        self.unsynced_bytes += batch.len() as u64;
+        if !sync {
+            return Ok(0);
+        }
+        self.storage.sync()?;
+        Ok(std::mem::take(&mut self.unsynced_bytes))
+    }
+}
+
 /// The write-ahead log over a [`Storage`] device.
 pub struct Journal {
     state: Mutex<State>,
     committed: Condvar,
-    io: Mutex<Box<dyn Storage>>,
+    io: Mutex<Device>,
     appends: AtomicU64,
     fsyncs: AtomicU64,
     durable_bytes: AtomicU64,
@@ -225,12 +268,13 @@ impl Journal {
                 pending: Vec::new(),
                 pending_last_seq: 0,
                 pending_count: 0,
+                spilled_count: 0,
                 leader_active: false,
                 waiters: 0,
                 dead: None,
             }),
             committed: Condvar::new(),
-            io: Mutex::new(storage),
+            io: Mutex::new(Device { storage, unsynced_bytes: 0 }),
             appends: AtomicU64::new(0),
             fsyncs: AtomicU64::new(0),
             durable_bytes: AtomicU64::new(valid_len as u64),
@@ -257,15 +301,24 @@ impl Journal {
     /// leader commits (or an explicit [`Journal::flush`]). For
     /// best-effort records — the audit trail — whose loss in a crash is
     /// acceptable but whose cost must stay off the acknowledged hot
-    /// path's sync count. Returns the record's sequence number.
+    /// path's sync count. When the pending buffer reaches
+    /// [`SPILL_BYTES`] and no leader is in flight, this call spills it
+    /// to the device unsynced. Returns the record's sequence number.
     ///
     /// # Errors
     ///
     /// [`JournalError::Oversized`] for payloads over the frame limit;
-    /// [`JournalError::Dead`] once the device has failed.
+    /// [`JournalError::Dead`] once the device has failed;
+    /// [`JournalError::Io`] when this call's spill failed (the journal
+    /// is then dead).
     pub fn append_relaxed(&self, payload: &[u8]) -> Result<u64, JournalError> {
         let state = self.enqueue(payload)?;
-        Ok(state.pending_last_seq)
+        let seq = state.pending_last_seq;
+        if state.pending.len() < SPILL_BYTES || state.leader_active {
+            return Ok(seq);
+        }
+        let (_state, spilled) = self.lead(state, false);
+        spilled.map(|()| seq).map_err(JournalError::Io)
     }
 
     /// Blocks until every enqueued frame — including relaxed ones — is
@@ -318,39 +371,61 @@ impl Journal {
             if let Some(cause) = &state.dead {
                 return Err(JournalError::Io(cause.clone()));
             }
-            if !state.leader_active && !state.pending.is_empty() {
-                // Become leader for everything queued so far.
-                state.leader_active = true;
-                let batch = std::mem::take(&mut state.pending);
-                let batch_last = state.pending_last_seq;
-                let batch_count = std::mem::take(&mut state.pending_count);
-                drop(state);
-
-                let result = {
-                    let mut io = self.io.lock().expect("journal io poisoned");
-                    io.append(&batch).and_then(|()| io.sync())
-                };
-
-                state = self.state.lock().expect("journal state poisoned");
-                state.leader_active = false;
-                match result {
-                    Ok(()) => {
-                        state.committed_seq = state.committed_seq.max(batch_last);
-                        self.appends.fetch_add(batch_count, Ordering::Relaxed);
-                        self.fsyncs.fetch_add(1, Ordering::Relaxed);
-                        self.durable_bytes.fetch_add(batch.len() as u64, Ordering::Relaxed);
-                    }
-                    Err(e) => state.dead = Some(e.to_string()),
-                }
-                if state.waiters > 0 {
-                    self.committed.notify_all();
-                }
+            if !state.leader_active && (!state.pending.is_empty() || state.spilled_count > 0) {
+                // Spilled frames need the sync even when nothing is pending.
+                state = self.lead(state, true).0;
             } else {
                 state.waiters += 1;
                 state = self.committed.wait(state).expect("journal state poisoned");
                 state.waiters -= 1;
             }
         }
+    }
+
+    /// Takes the leader role (the caller saw none in flight) for every
+    /// pending frame: writes them with one `Storage::append` and, with
+    /// `sync`, makes them and every earlier spill durable with one
+    /// `Storage::sync`. Without `sync` this is a spill. Returns with the
+    /// state lock re-held, after waking any parked appenders; an I/O
+    /// error kills the journal.
+    fn lead<'a>(
+        &'a self,
+        mut state: std::sync::MutexGuard<'a, State>,
+        sync: bool,
+    ) -> (std::sync::MutexGuard<'a, State>, Result<(), String>) {
+        state.leader_active = true;
+        let batch = std::mem::take(&mut state.pending);
+        // The last enqueued frame, whether pending or already spilled.
+        let batch_last = state.pending_last_seq;
+        let mut batch_count = std::mem::take(&mut state.pending_count);
+        if sync {
+            batch_count += std::mem::take(&mut state.spilled_count);
+        }
+        drop(state);
+
+        // `durable_bytes` moves under the io lock, so a compaction's
+        // reset cannot interleave with it.
+        let result =
+            self.io.lock().expect("journal io poisoned").write(&batch, sync).map(|newly_durable| {
+                self.durable_bytes.fetch_add(newly_durable, Ordering::Relaxed);
+            });
+
+        let mut state = self.state.lock().expect("journal state poisoned");
+        state.leader_active = false;
+        let result = result.map_err(|e| e.to_string());
+        match &result {
+            Ok(()) if sync => {
+                state.committed_seq = state.committed_seq.max(batch_last);
+                self.appends.fetch_add(batch_count, Ordering::Relaxed);
+                self.fsyncs.fetch_add(1, Ordering::Relaxed);
+            }
+            Ok(()) => state.spilled_count += batch_count,
+            Err(e) => state.dead = Some(e.clone()),
+        }
+        if state.waiters > 0 {
+            self.committed.notify_all();
+        }
+        (state, result)
     }
 
     /// The highest durable sequence number (0 before the first commit).
@@ -382,7 +457,7 @@ impl Journal {
     /// poisoned if the rewrite itself fails partway.
     pub fn compact_through(&self, covered: u64) -> Result<(), JournalError> {
         let mut io = self.io.lock().expect("journal io poisoned");
-        let bytes = io.read_all().map_err(|e| JournalError::Io(e.to_string()))?;
+        let bytes = io.storage.read_all().map_err(|e| JournalError::Io(e.to_string()))?;
         let (records, valid_len) = scan_frames(&bytes);
         debug_assert_eq!(valid_len, bytes.len(), "durable region must be intact");
         let mut retained = Vec::new();
@@ -392,11 +467,13 @@ impl Journal {
             }
         }
         let retained_len = retained.len() as u64;
-        io.replace(&retained).map_err(|e| {
+        io.storage.replace(&retained).map_err(|e| {
             let mut state = self.state.lock().expect("journal state poisoned");
             state.dead = Some(format!("compaction failed: {e}"));
             JournalError::Io(e.to_string())
         })?;
+        // The replacement is durable as a whole, spilled frames included.
+        io.unsynced_bytes = 0;
         self.durable_bytes.store(retained_len, Ordering::Relaxed);
         Ok(())
     }
@@ -404,7 +481,7 @@ impl Journal {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::Arc;
+    use std::sync::{mpsc, Arc};
 
     use super::*;
     use crate::storage::MemStorage;
@@ -431,6 +508,34 @@ mod tests {
             assert_eq!(r.seq, i as u64 + 1);
             assert_eq!(r.payload, vec![i as u8; 3]);
         }
+    }
+
+    #[test]
+    fn frames_written_by_an_independent_encoder_replay() {
+        // Frame checks computed by a separate SHA-256 implementation
+        // over `seq_le || payload`: the on-disk format does not depend
+        // on which backend hashes.
+        let second: Vec<u8> = (0..100).collect();
+        let mut bytes = Vec::new();
+        for (seq, payload, check) in
+            [(1u64, &b"submit"[..], 0x1596_d428_bbcd_16c0u64), (2, &second, 0x249f_810c_a417_8bb1)]
+        {
+            bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(&seq.to_le_bytes());
+            bytes.extend_from_slice(&check.to_le_bytes());
+            bytes.extend_from_slice(payload);
+        }
+        let device = MemStorage::from_bytes(bytes.clone());
+        let (journal, replay) = open_mem(&device);
+        assert_eq!(replay.truncated_bytes, 0);
+        assert_eq!(replay.records.len(), 2);
+        assert_eq!(replay.records[1].payload, second);
+        // And this encoder writes the same bytes.
+        let mut ours = Vec::new();
+        encode_frame(&mut ours, 1, b"submit");
+        encode_frame(&mut ours, 2, &second);
+        assert_eq!(ours, bytes);
+        assert_eq!(journal.append(b"next").unwrap(), 3);
     }
 
     #[test]
@@ -608,6 +713,215 @@ mod tests {
         drop(journal);
         let (_, replay) = open_mem(&device);
         assert_eq!(replay.records.len(), 2);
+    }
+
+    /// Appends 1 KiB riders until one of them spills; returns how many
+    /// were appended. The spilling call empties the pending buffer.
+    fn spill_riders(journal: &Journal, mut device_len: impl FnMut() -> usize) -> u64 {
+        let before = device_len();
+        let mut count = 0;
+        while device_len() == before {
+            count += 1;
+            journal.append_relaxed(&[count as u8; 1024]).unwrap();
+            assert!(count <= SPILL_BYTES as u64, "riders never spilled");
+        }
+        count
+    }
+
+    #[test]
+    fn flush_after_a_spill_syncs_the_spilled_frames_once() {
+        let device = MemStorage::new();
+        let (journal, _) = open_mem(&device);
+        let riders = spill_riders(&journal, || device.contents().len());
+        assert!(device.contents().len() >= SPILL_BYTES);
+        // Written, not synced: the committed sequence did not move.
+        assert_eq!(journal.committed_seq(), 0);
+        assert_eq!(journal.stats().fsyncs, 0);
+
+        // Nothing is pending, yet the spilled frames still need a sync.
+        journal.flush().unwrap();
+        assert_eq!(journal.committed_seq(), riders);
+        assert_eq!(journal.stats().fsyncs, 1);
+        journal.flush().unwrap();
+        assert_eq!(journal.stats().fsyncs, 1);
+    }
+
+    #[test]
+    fn spilled_frames_are_counted_once_at_their_sync() {
+        let device = MemStorage::new();
+        let (journal, _) = open_mem(&device);
+        let riders = spill_riders(&journal, || device.contents().len());
+        let stats = journal.stats();
+        assert_eq!((stats.appends, stats.durable_bytes), (0, 0));
+
+        journal.flush().unwrap();
+        let stats = journal.stats();
+        assert_eq!(stats.appends, riders);
+        assert_eq!(stats.durable_bytes, device.contents().len() as u64);
+
+        journal.append_relaxed(b"late-rider").unwrap();
+        journal.flush().unwrap();
+        let stats = journal.stats();
+        assert_eq!(stats.appends, riders + 1);
+        assert_eq!(stats.durable_bytes, device.contents().len() as u64);
+
+        // A compaction that keeps spilled, unsynced frames counts them as
+        // durable (the replacement is), and the next sync adds nothing
+        // for them twice.
+        spill_riders(&journal, || device.contents().len());
+        journal.compact_through(riders + 1).unwrap();
+        assert_eq!(journal.stats().durable_bytes, device.contents().len() as u64);
+        journal.flush().unwrap();
+        assert_eq!(journal.stats().durable_bytes, device.contents().len() as u64);
+    }
+
+    #[test]
+    fn synced_append_after_a_spill_commits_riders_and_itself() {
+        let device = MemStorage::new();
+        let (journal, _) = open_mem(&device);
+        let riders = spill_riders(&journal, || device.contents().len());
+        let queued = journal.append_relaxed(b"queued-rider").unwrap();
+        assert_eq!(queued, riders + 1);
+
+        let seq = journal.append(b"mutation").unwrap();
+        assert_eq!(seq, riders + 2);
+        assert_eq!(journal.committed_seq(), seq);
+        let stats = journal.stats();
+        assert_eq!((stats.appends, stats.fsyncs), (riders + 2, 1));
+
+        drop(journal);
+        let (_, replay) = open_mem(&device);
+        let seqs: Vec<u64> = replay.records.iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, (1..=seq).collect::<Vec<_>>());
+        assert_eq!(replay.records.last().unwrap().payload, b"mutation");
+    }
+
+    #[test]
+    fn crash_between_a_spill_and_its_sync_costs_only_riders() {
+        use crate::crashsim::{CrashMode, FaultDisk, FaultPlan};
+        for mode in CrashMode::ALL {
+            for seed in 0..16u64 {
+                let disk = FaultDisk::new(Some(FaultPlan { crash_after_syncs: 1, mode, seed }));
+                let (journal, _) = Journal::open(Box::new(disk.storage())).unwrap();
+                journal.append(b"acknowledged").unwrap();
+                // The spill lands in the simulated page cache, unsynced.
+                let mut probe = disk.storage();
+                spill_riders(&journal, || probe.read_all().unwrap().len());
+                assert!(journal.append(b"in-flight").is_err(), "barrier 1 is the crash");
+
+                let recovered = FaultDisk::from_bytes(disk.durable_bytes());
+                let (_, replay) = Journal::open(Box::new(recovered.storage())).unwrap();
+                let label = format!("{mode:?} seed {seed}");
+                assert_eq!(replay.records[0].payload, b"acknowledged", "{label}");
+                for (i, record) in replay.records.iter().enumerate().skip(1) {
+                    assert_eq!(record.seq, i as u64 + 1, "{label}");
+                    assert_eq!(record.payload.len(), 1024, "only riders survive: {label}");
+                }
+                if mode == CrashMode::Kill {
+                    assert_eq!(replay.records.len(), 1, "{label}");
+                }
+                // The torn tail was cut back to the intact prefix.
+                assert_eq!(recovered.durable_bytes().len() as u64, replay.valid_bytes, "{label}");
+                let (journal, again) = Journal::open(Box::new(recovered.storage())).unwrap();
+                assert_eq!(again.truncated_bytes, 0, "{label}");
+                let next = journal.append(b"after-recovery").unwrap();
+                assert_eq!(next, replay.records.len() as u64 + 1, "{label}");
+            }
+        }
+    }
+
+    /// A device whose first `append` blocks until the test releases it.
+    struct GatedStorage {
+        inner: MemStorage,
+        gate: Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>,
+    }
+
+    impl Storage for GatedStorage {
+        fn read_all(&mut self) -> io::Result<Vec<u8>> {
+            self.inner.read_all()
+        }
+        fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
+            if let Some((entered, release)) = self.gate.take() {
+                entered.send(()).unwrap();
+                release.recv().unwrap();
+            }
+            self.inner.append(bytes)
+        }
+        fn sync(&mut self) -> io::Result<()> {
+            self.inner.sync()
+        }
+        fn truncate(&mut self, len: u64) -> io::Result<()> {
+            self.inner.truncate(len)
+        }
+        fn replace(&mut self, bytes: &[u8]) -> io::Result<()> {
+            self.inner.replace(bytes)
+        }
+    }
+
+    #[test]
+    fn appender_parked_behind_a_spill_is_woken_to_lead() {
+        let timeout = std::time::Duration::from_secs(10);
+        let (entered_tx, entered) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel();
+        let device = MemStorage::new();
+        let storage = GatedStorage { inner: device.clone(), gate: Some((entered_tx, release_rx)) };
+        let journal = Arc::new(Journal::open(Box::new(storage)).unwrap().0);
+
+        let spiller = {
+            let journal = Arc::clone(&journal);
+            std::thread::spawn(move || {
+                for i in 0..=(SPILL_BYTES / 1024) {
+                    journal.append_relaxed(&[i as u8; 1024]).unwrap();
+                }
+            })
+        };
+        entered.recv_timeout(timeout).expect("the spill reaches the device");
+        let (done_tx, done) = mpsc::channel();
+        let mutator = {
+            let journal = Arc::clone(&journal);
+            std::thread::spawn(move || done_tx.send(journal.append(b"mutation").unwrap()))
+        };
+        // Wait until the mutation has parked behind the spill's leadership.
+        while journal.state.lock().unwrap().waiters == 0 {
+            std::thread::yield_now();
+        }
+        release.send(()).unwrap();
+        let seq = done.recv_timeout(timeout).expect("the spill wakes the parked appender");
+        spiller.join().unwrap();
+        mutator.join().unwrap().unwrap();
+        assert!(journal.committed_seq() >= seq);
+    }
+
+    #[test]
+    fn concurrent_spills_and_commits_replay_contiguously() {
+        let device = MemStorage::new();
+        let (journal, _) = open_mem(&device);
+        let journal = Arc::new(journal);
+        let threads: Vec<_> = (0..4u8)
+            .map(|t| {
+                let journal = Arc::clone(&journal);
+                std::thread::spawn(move || {
+                    for i in 0..400u32 {
+                        if t == 0 && i % 50 == 0 {
+                            journal.append(&[t; 8]).unwrap();
+                        } else {
+                            journal.append_relaxed(&[t; 512]).unwrap();
+                        }
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        journal.flush().unwrap();
+        let stats = journal.stats();
+        assert_eq!(stats.appends, 1600);
+        assert_eq!(stats.durable_bytes, device.contents().len() as u64);
+        drop(journal);
+        let (_, replay) = open_mem(&device);
+        let seqs: Vec<u64> = replay.records.iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, (1..=1600).collect::<Vec<_>>());
     }
 
     #[test]

@@ -28,6 +28,15 @@ if ! grep -q '"correct": true' <<<"$result" || ! grep -q '"failed": 0,' <<<"$res
     exit 1
 fi
 
+echo "==> perfbench smoke (status-warm, 4 s: the read path, auth-cache hits, rider spills)"
+result=$(cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+    --workload status-warm --seed 1 --seconds 4 --trace 0 | tail -n 1)
+echo "$result"
+if ! grep -q '"correct": true' <<<"$result" || ! grep -q '"failed": 0,' <<<"$result"; then
+    echo "perfbench smoke: expected \"correct\": true and \"failed\": 0" >&2
+    exit 1
+fi
+
 echo "==> harness t10 (callout resilience phase tables)"
 cargo run -p gridauthz-bench --bin harness --release -- t10
 
